@@ -351,13 +351,11 @@ def bench_approx(config: dict, *, rounds: int, seed: int) -> dict:
     graph (density 1.5: roughly two thirds of ordered pairs are
     label-blind unreachable) and draws the query stream from a small
     pool, so repeats hit the witness tier.  A routed service and an
-    ``approx=False`` twin answer the same stream in exact mode, with an
-    identical ``apply_updates`` batch applied to both between rounds
-    (epoch swap: result caches rotate, witnesses re-verify and
-    survive).  The harness asserts bit-identical answers every round —
-    the tier's soundness claim under churn — and reports the
-    short-circuit share plus an opt-in ``mode=approximate`` pass with
-    ``recheck_rate=1.0`` so the recorded false rate is a full recount.
+    ``approx=False`` twin answer the same stream, with an identical
+    ``apply_updates`` batch applied to both between rounds (epoch swap:
+    result caches rotate, witnesses re-verify and survive).  The harness
+    asserts bit-identical answers every round — the tier's soundness
+    claim under churn — and reports the short-circuit share.
     """
     rng = random.Random(seed * 104729 + 13)
     vertices = config["vertices"]
@@ -382,14 +380,13 @@ def bench_approx(config: dict, *, rounds: int, seed: int) -> dict:
     ]
     specs = [rng.choice(pool) for _ in range(config["queries"])]
     vertex_names = [f"n{i}" for i in range(vertices)]
-    routed = QueryService(graph.copy(), seed=0, approx_recheck=1.0)
+    routed = QueryService(graph.copy(), seed=0)
     plain = QueryService(graph.copy(), seed=0, approx=False)
     try:
         routed.query_batch(specs, use_cache=False)  # warm-up (+ witnesses)
         plain.query_batch(specs, use_cache=False)
         routed_best = float("inf")
         plain_best = float("inf")
-        approx_best = float("inf")
         for _ in range(rounds):
             started = time.perf_counter()
             routed_answers = routed.query_batch(specs, use_cache=False)
@@ -401,12 +398,8 @@ def bench_approx(config: dict, *, rounds: int, seed: int) -> dict:
                 r.answer for r, _ in plain_answers
             ]:
                 raise SystemExit(
-                    "approx mode: routed exact answers disagree with the "
-                    "approx=False twin"
+                    "approx: routed answers disagree with the approx=False twin"
                 )
-            started = time.perf_counter()
-            routed.query_batch(specs, use_cache=False, mode="approximate")
-            approx_best = min(approx_best, time.perf_counter() - started)
             batch = [
                 (rng.choice(vertex_names), rng.choice(label_names),
                  rng.choice(vertex_names))
@@ -431,13 +424,6 @@ def bench_approx(config: dict, *, rounds: int, seed: int) -> dict:
             "plain_exact": {
                 "best_seconds": plain_best,
                 "qps": len(specs) / plain_best,
-            },
-            "approximate_mode": {
-                "best_seconds": approx_best,
-                "qps": len(specs) / approx_best,
-                "recheck_rate": stats["recheck_rate"],
-                "false_rate": stats["false_rate"],
-                "approximate_answers": stats["approximate_answers"],
             },
             "speedup": plain_best / routed_best,
             "short_circuit_rate": stats["short_circuit_rate"],
@@ -609,11 +595,6 @@ def run(quick: bool, compare: bool, seed: int, shards: int = 0,
             f"(vs plain {approx_cell['speedup']:.2f}x, short-circuit rate "
             f"{approx_cell['short_circuit_rate']:.0%})"
         )
-        print(
-            f"approx/approximate:   {approx_cell['approximate_mode']['qps']:9.1f} q/s "
-            f"(false rate {approx_cell['approximate_mode']['false_rate']:.3f} "
-            f"at recheck 1.0)"
-        )
     return report
 
 
@@ -637,8 +618,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--approx", action="store_true",
         help="also bench the approx tier on a sparse repetitive workload "
-        "(routed vs approx=False twin, plus an opt-in approximate-mode "
-        "pass with full recheck accounting)",
+        "(routed vs approx=False twin)",
     )
     parser.add_argument(
         "--output", type=Path, default=REPO_ROOT / "BENCH_hotpath.json",

@@ -379,25 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--no-approx",
         action="store_true",
-        help="disable the bounded-answer tier (label-blind definite-No "
-        "bounds + witness-path definite-Yes short-circuits ahead of the "
-        "exact evaluators, and the ?mode=approximate endpoint mode)",
-    )
-    serve.add_argument(
-        "--approx-default",
-        action="store_true",
-        help="answer requests that don't pass ?mode= in approximate mode "
-        "(uncertain-band queries answered from the bounds alone with "
-        "sampled exact re-checks; default: exact)",
-    )
-    serve.add_argument(
-        "--approx-recheck",
-        type=float,
-        default=0.05,
-        metavar="RATE",
-        help="fraction of mode=approximate answers re-checked against the "
-        "exact evaluators to account the observed false rate in /stats "
-        "and /metrics (0.0-1.0, default 0.05)",
+        help="disable the short-circuit tier (label-blind definite-No "
+        "bounds + witness-path definite-Yes ahead of the exact "
+        "evaluators); answers are exact either way",
     )
     return parser
 
@@ -674,14 +658,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     if args.max_queue and args.max_concurrent is None:
         raise ServiceConfigError("--max-queue requires --max-concurrent")
-    if args.approx_default and args.no_approx:
-        raise ServiceConfigError(
-            "--approx-default requires the approx tier (drop --no-approx)"
-        )
-    if not 0.0 <= args.approx_recheck <= 1.0:
-        raise ServiceConfigError(
-            f"--approx-recheck must be within [0, 1], got {args.approx_recheck}"
-        )
     options = dict(
         landmark_count=args.k,
         seed=args.seed,
@@ -692,8 +668,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         freeze=not args.no_freeze,
         trace_sample=args.trace_sample,
         approx=not args.no_approx,
-        approx_default=args.approx_default,
-        approx_recheck=args.approx_recheck,
     )
     if args.slow_ms is not None:
         options["slow_ms"] = args.slow_ms
@@ -906,12 +880,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if bounds is not None
             else "bounds off"
         )
-        print(
-            f"approx tier: {bounds_note}; default mode "
-            f"{service.approx.default_mode}; "
-            f"recheck rate {args.approx_recheck:g} (?mode=approximate)",
-            flush=True,
-        )
+        print(f"approx tier: {bounds_note}", flush=True)
     # Machine-readable ready line: tooling (and the tests) parse the port
     # from it, which is how --port 0 ephemeral binding stays usable.
     print(f"listening on http://{host}:{port}", flush=True)

@@ -50,13 +50,7 @@ from time import perf_counter
 from typing import Any
 
 from repro._version import __version__
-from repro.approx import (
-    APPROX_ALGORITHM,
-    MODES,
-    SHORT_CIRCUIT_ALGORITHMS,
-    ApproxRouter,
-    build_bounds,
-)
+from repro.approx import SHORT_CIRCUIT_ALGORITHMS, ApproxRouter, build_bounds
 from repro.approx.bounds import BoundsIndex
 from repro.constraints.label_constraint import LabelConstraint
 from repro.constraints.substructure import SubstructureConstraint
@@ -147,35 +141,21 @@ class QueryService:
         max_concurrent: int | None = None,
         max_queue: int = 0,
         approx: bool = True,
-        approx_default: bool = False,
-        approx_recheck: float = 0.05,
     ) -> None:
         if max_batch < 1:
             raise ServiceConfigError(f"max_batch must be >= 1, got {max_batch}")
         self.seed = seed
         self.max_batch = max_batch
-        if approx_default and not approx:
-            raise ServiceConfigError(
-                "approx_default requires the approx tier to be enabled"
-            )
-        #: The bounded-answer tier (``repro.approx``): sound
-        #: short-circuits ahead of the exact evaluators plus the opt-in
-        #: ``mode=approximate``.  None disables routing entirely and the
-        #: service behaves exactly as before the tier existed.
+        #: The short-circuit tier (``repro.approx``): sound definite-No
+        #: and definite-Yes answers ahead of the exact evaluators.  None
+        #: disables routing entirely and the service behaves exactly as
+        #: before the tier existed.
         self.approx: ApproxRouter | None = None
         if approx:
-            try:
-                self.approx = ApproxRouter(
-                    approx_default=approx_default,
-                    recheck_rate=approx_recheck,
-                    # Follows the result cache's knob: cache_size=0
-                    # keeps the sound bounds but stores no witnesses,
-                    # so the uncached service stays genuinely uncached.
-                    witness_cache_size=cache_size,
-                    seed=seed,
-                )
-            except ValueError as error:
-                raise ServiceConfigError(str(error)) from error
+            # Follows the result cache's knob: cache_size=0 keeps the
+            # sound bounds but stores no witnesses, so the uncached
+            # service stays genuinely uncached.
+            self.approx = ApproxRouter(witness_cache_size=cache_size)
         #: Admission control for the query endpoints (``--max-concurrent``
         #: / ``--max-queue``); None — the default — admits everything and
         #: costs nothing on the request path.
@@ -342,22 +322,6 @@ class QueryService:
             return None
         return build_bounds(graph, seed=self.seed)
 
-    def _resolve_mode(self, mode: str | None) -> str:
-        """Validate a per-request answer mode against the tier config."""
-        if self.approx is not None:
-            try:
-                return self.approx.resolve_mode(mode)
-            except ValueError as error:
-                raise BadRequestError(str(error)) from error
-        if mode is None or mode == "exact":
-            return "exact"
-        if mode == "approximate":
-            raise BadRequestError(
-                "mode=approximate requires the approx tier "
-                "(the service was built with approx=False)"
-            )
-        raise BadRequestError(f"mode must be one of {MODES}, got {mode!r}")
-
     def close(self) -> None:
         """Release pooled resources (the persistent batch thread pool).
 
@@ -381,7 +345,6 @@ class QueryService:
         constraint: str | SubstructureConstraint,
         algorithm: str | None = None,
         use_cache: bool = True,
-        mode: str | None = None,
         _batch: bool = False,
     ) -> tuple[QueryResult, dict]:
         """Answer one query; returns ``(result, meta)``.
@@ -390,29 +353,23 @@ class QueryService:
         ``trivial``, the planner's ``reason``, the ``epoch`` the answer
         is valid for and — when the approx tier routed the query — the
         ``tier`` that settled it.  With ``use_cache`` off the result
-        cache is neither consulted nor populated.  ``mode`` is
-        ``"exact"`` or ``"approximate"`` (None follows the service
-        default, normally exact).
+        cache is neither consulted nor populated.
 
         The epoch is read exactly once: planning, cache lookup and
         execution all bind to it, so a concurrent :meth:`apply_updates`
         publishing a new epoch mid-call never mixes graph versions —
         this query simply completes on the epoch it started on.
         """
-        mode = self._resolve_mode(mode)
         if algorithm is None:
             algorithm = self._forced_algorithm
         epoch = self._epoch
         plan = epoch.planner.plan(source, target, labels, constraint, algorithm)
-        return self._finish(
-            plan, epoch, use_cache=use_cache, batch=_batch, mode=mode
-        )
+        return self._finish(plan, epoch, use_cache=use_cache, batch=_batch)
 
     def query_batch(
         self,
         specs: Iterable[dict],
         use_cache: bool = True,
-        mode: str | None = None,
     ) -> list[tuple[QueryResult, dict]]:
         """Answer a homogeneous batch concurrently, preserving order.
 
@@ -423,7 +380,6 @@ class QueryService:
         overrides the batch-level flag for that query only.
         """
         started = perf_counter()
-        mode = self._resolve_mode(mode)
         specs = list(specs)
         if len(specs) > self.max_batch:
             raise BadRequestError(
@@ -453,7 +409,7 @@ class QueryService:
         deadline = current_deadline()
         if trace is None and deadline is None:
             runner = lambda item: self._finish(  # noqa: E731
-                item[1][0], epoch, use_cache=item[1][1], batch=True, mode=mode
+                item[1][0], epoch, use_cache=item[1][1], batch=True
             )
         else:
             # Pool threads don't inherit context variables: re-activate
@@ -466,7 +422,7 @@ class QueryService:
                     "query", index=position
                 ):
                     return self._finish(
-                        plan, epoch, use_cache=item_cache, batch=True, mode=mode
+                        plan, epoch, use_cache=item_cache, batch=True
                     )
 
         answered = self.executor.map(runner, list(enumerate(plans)))
@@ -813,7 +769,6 @@ class QueryService:
         *,
         use_cache: bool,
         batch: bool,
-        mode: str = "exact",
     ) -> tuple[QueryResult, dict]:
         """Execute (or short-circuit) one plan and record telemetry.
 
@@ -861,7 +816,7 @@ class QueryService:
                 self._record_slow(plan, meta, cached, elapsed)
                 return cached, meta
         with span("execute", algorithm=plan.algorithm) as execute_span:
-            result = self._execute(plan, epoch, mode)
+            result = self._execute(plan, epoch)
             execute_span.set(
                 answer=result.answer,
                 passed_vertices=result.passed_vertices,
@@ -873,11 +828,8 @@ class QueryService:
         annotate(source="evaluated")
         if self.approx is not None and not plan.forced:
             # The routing decision, stamped for clients and the flight
-            # recorder: short-circuit answers are exact (sound bounds),
-            # "approximate" marks the one case the answer is a guess.
-            if result.algorithm == APPROX_ALGORITHM:
-                meta["tier"] = "approximate"
-            elif result.algorithm in SHORT_CIRCUIT_ALGORITHMS:
+            # recorder; both tiers are exact answers.
+            if result.algorithm in SHORT_CIRCUIT_ALGORITHMS:
                 meta["tier"] = "short-circuit"
             else:
                 meta["tier"] = "exact"
@@ -888,9 +840,7 @@ class QueryService:
             meta["degraded"] = result.degraded
             annotate(degraded=True)
             self.stats.record_degraded()
-        elif use_cache and result.algorithm != APPROX_ALGORITHM:
-            # Approximate answers are best-effort guesses; caching one
-            # would let it leak into later exact-mode requests.
+        elif use_cache:
             self.results.put(cache_key, result)
         self.stats.record_query(result, batch=batch)
         elapsed = perf_counter() - started
@@ -938,20 +888,15 @@ class QueryService:
             )
         self.flight.record(elapsed, entry)
 
-    def _execute(
-        self, plan: QueryPlan, epoch: GraphEpoch, mode: str = "exact"
-    ) -> QueryResult:
+    def _execute(self, plan: QueryPlan, epoch: GraphEpoch) -> QueryResult:
         """Route one non-trivial plan: bounds tier first, then exact.
 
         The approx tier tries to settle the query soundly before any
         evaluator runs — definite-No from the label-blind upper bound,
         definite-Yes from a re-verified witness path — and everything
-        uncertain falls through to :meth:`_evaluate` (in
-        ``mode=approximate``, the uncertain band is instead answered
-        True from the bounds alone, with sampled exact re-checks
-        feeding the false-rate accounting).  Forced-algorithm plans
-        bypass routing entirely: naming an algorithm is a request to
-        *run* it.
+        uncertain falls through to :meth:`_evaluate`.  Forced-algorithm
+        plans bypass routing entirely: naming an algorithm is a request
+        to *run* it.
 
         The ambient request deadline (if any) is checked once here —
         before the router or evaluator starts — so a budget that lapsed
@@ -964,24 +909,12 @@ class QueryService:
         router = self.approx
         if router is None or plan.forced:
             return self._evaluate(plan, epoch)
-        with span("route", mode=mode) as route_span:
+        with span("route") as route_span:
             decision = router.decide(plan, epoch)
             if decision is not None:
                 route_span.set(tier="short-circuit", verdict=decision.verdict)
                 return decision.result
-            route_span.set(verdict="uncertain")
-            if mode == "approximate":
-                route_span.set(tier="approximate")
-                result = router.approximate_result()
-                if router.should_recheck():
-                    exact = self._evaluate(plan, epoch)
-                    router.record_recheck(
-                        mismatch=exact.answer != result.answer
-                    )
-                    if exact.answer and exact.degraded is None:
-                        router.remember_witness(plan, epoch)
-                return result
-            route_span.set(tier="exact")
+            route_span.set(verdict="uncertain", tier="exact")
         router.record_fallthrough()
         result = self._evaluate(plan, epoch)
         if result.answer and result.degraded is None:
@@ -1049,25 +982,21 @@ class QueryService:
         payload: object,
         *,
         trace: bool = False,
-        mode: str | None = None,
     ) -> dict:
         """``POST /query``: validate a JSON payload and answer it.
 
         With ``trace=True`` (the HTTP layer's ``?trace=1``) the response
         carries the request's full span tree under ``"trace"``.
-        ``mode`` (the ``?mode=`` query parameter) picks exact or
-        approximate answering; invalid values 400 via
-        :meth:`_resolve_mode`.
         """
         spec = self._validate_spec(payload, where="query")
         with self._admit():
             active = self._start_trace("query", trace)
             if active is None:
-                result, meta = self._query_spec(spec, mode=mode)
+                result, meta = self._query_spec(spec)
                 return self._result_payload(result, meta)
             with use_trace(active):
                 try:
-                    result, meta = self._query_spec(spec, mode=mode)
+                    result, meta = self._query_spec(spec)
                 finally:
                     active.finish()
         response = self._result_payload(result, meta)
@@ -1075,9 +1004,7 @@ class QueryService:
             response["trace"] = active.to_dict()
         return response
 
-    def _query_spec(
-        self, spec: dict, mode: str | None = None
-    ) -> tuple[QueryResult, dict]:
+    def _query_spec(self, spec: dict) -> tuple[QueryResult, dict]:
         try:
             return self.query(
                 spec["source"],
@@ -1086,7 +1013,6 @@ class QueryService:
                 spec["constraint"],
                 algorithm=spec.get("algorithm"),
                 use_cache=spec.get("use_cache", True),
-                mode=mode,
             )
         except (ConstraintError, SparqlError) as error:
             raise BadRequestError(f"invalid query: {error}") from error
@@ -1096,7 +1022,6 @@ class QueryService:
         payload: object,
         *,
         trace: bool = False,
-        mode: str | None = None,
     ) -> dict:
         """``POST /batch``: validate and answer a batch payload."""
         if not isinstance(payload, dict) or "queries" not in payload:
@@ -1117,14 +1042,12 @@ class QueryService:
             active = self._start_trace("batch", trace)
             try:
                 if active is None:
-                    answered = self.query_batch(
-                        specs, use_cache=use_cache, mode=mode
-                    )
+                    answered = self.query_batch(specs, use_cache=use_cache)
                 else:
                     with use_trace(active):
                         try:
                             answered = self.query_batch(
-                                specs, use_cache=use_cache, mode=mode
+                                specs, use_cache=use_cache
                             )
                         finally:
                             active.finish()
@@ -1224,10 +1147,6 @@ class QueryService:
                 "slow_ms": self.flight.threshold_ms,
                 "slow_log_size": self.flight.max_entries,
                 "approx": self.approx is not None,
-                "approx_default": (
-                    self.approx is not None
-                    and self.approx.default_mode == "approximate"
-                ),
             },
         }
         if self.approx is not None:
@@ -1434,8 +1353,8 @@ class QueryService:
         }
         if "tier" in meta:
             # Which approx-tier path settled the answer: "short-circuit"
-            # (sound bounds/witness, exact), "exact" (fell through to
-            # the evaluators) or "approximate" (best-effort guess).
+            # (sound bounds/witness) or "exact" (fell through to the
+            # evaluators); both answers are exact.
             payload["tier"] = meta["tier"]
         if "degraded" in meta:
             # Shards were missing: ``answer`` covers only the surviving

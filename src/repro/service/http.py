@@ -31,8 +31,8 @@ The server routes onto a :class:`~repro.service.registry.TenantRegistry`
   merged counters);
 * ``GET /tenants``    — list every tenant and its load state;
 * ``POST /tenants``   — register a tenant at runtime from file paths
-  (``{"name", "graph", "index"?, "seed"?, "algorithm"?, ...}``), warm
-  started lazily on its first query;
+  (``{"name", "graph", "index"?, "seed"?, "algorithm"?, ...}``; an
+  unknown key is a 400), warm started lazily on its first query;
 * ``DELETE /t/<tenant>`` — deregister a tenant;
 * ``POST /shard/<id>/expand``, ``POST /shard/<id>/query``,
   ``POST /shard/<id>/update``, ``GET /shard/<id>`` — present when shard
@@ -110,10 +110,10 @@ _TENANT_OPTION_FIELDS = {
     "slow_log_size": lambda v: isinstance(v, int) and not isinstance(v, bool)
     and v >= 1,
     "approx": lambda v: isinstance(v, bool),
-    "approx_default": lambda v: isinstance(v, bool),
-    "approx_recheck": lambda v: isinstance(v, (int, float))
-    and not isinstance(v, bool) and 0.0 <= v <= 1.0,
 }
+
+#: The ``POST /tenants`` fields that name the tenant and its files.
+_TENANT_FIELDS = ("name", "graph", "index")
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -254,18 +254,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             else:
                 # Deadlines cover the answering endpoints only: update
                 # batches are admin operations that must run to the end.
-                # ``?mode=`` (exact | approximate) rides the same query
-                # string; the service validates it into a 400.
-                mode = query.get("mode")
                 with self._deadline_scope(query):
                     if endpoint == "query":
-                        response = service.handle_query(
-                            payload, trace=trace, mode=mode
-                        )
+                        response = service.handle_query(payload, trace=trace)
                     else:
-                        response = service.handle_batch(
-                            payload, trace=trace, mode=mode
-                        )
+                        response = service.handle_batch(payload, trace=trace)
                 self._send_json(200, response)
         except BadRequestError as error:
             kind = self._error_kind(error)
@@ -394,6 +387,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         """``POST /tenants``: validate and register a lazy tenant."""
         if not isinstance(payload, dict):
             raise BadRequestError("tenant registration must be a JSON object")
+        for field in payload:
+            if field not in _TENANT_FIELDS and field not in _TENANT_OPTION_FIELDS:
+                # A typo such as ``cache_sise`` must not register a
+                # tenant that silently runs on the default.
+                raise BadRequestError(
+                    f"unknown tenant registration field {field!r}"
+                )
         name = payload.get("name")
         if not valid_tenant_name(name):
             raise BadRequestError(

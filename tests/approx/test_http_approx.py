@@ -1,4 +1,4 @@
-"""HTTP surface of the approx tier: ?mode=, /stats, /metrics, /debug/slow."""
+"""HTTP surface of the approx tier: tiers, /stats, /metrics, /debug/slow."""
 
 from __future__ import annotations
 
@@ -21,12 +21,14 @@ TRUE_SPEC = {
 NO_SPEC = {
     "source": "t", "target": "s", "labels": ["go"], "constraint": MARK,
 }
-GUESS_SPEC = {
+# Label-blind reachable but constraint-false: the router is uncertain and
+# the exact evaluators answer False.
+UNCERTAIN_SPEC = {
     "source": "u", "target": "w", "labels": ["go"], "constraint": MARK,
 }
 
 
-def make_service(**kwargs):
+def make_service():
     graph = graph_from_edges(
         [
             ("s", "go", "m"),
@@ -35,12 +37,12 @@ def make_service(**kwargs):
             ("u", "go", "w"),
         ]
     )
-    return QueryService(graph, seed=0, slow_ms=0.0, **kwargs)
+    return QueryService(graph, seed=0, slow_ms=0.0)
 
 
 @pytest.fixture()
 def base_url():
-    server = create_server(make_service(approx_recheck=1.0), "127.0.0.1", 0)
+    server = create_server(make_service(), "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -74,59 +76,44 @@ def get_text(url):
 
 class TestModeParam:
     def test_exact_mode_is_default(self, base_url):
-        status, body = post(f"{base_url}/query", GUESS_SPEC)
+        status, body = post(f"{base_url}/query", UNCERTAIN_SPEC)
         assert status == 200
         assert body["answer"] is False
         assert body["tier"] == "exact"
 
-    def test_approximate_mode(self, base_url):
-        status, body = post(f"{base_url}/query?mode=approximate", GUESS_SPEC)
-        assert status == 200
-        assert body["answer"] is True
-        assert body["algorithm"] == "approx"
-        assert body["tier"] == "approximate"
-
-    def test_short_circuit_stays_exact_in_approximate_mode(self, base_url):
-        status, body = post(f"{base_url}/query?mode=approximate", NO_SPEC)
+    def test_mode_param_is_ignored(self, base_url):
+        # ?mode= is an unknown query key like any other: exact answers.
+        status, body = post(
+            f"{base_url}/query?mode=approximate", UNCERTAIN_SPEC
+        )
         assert status == 200
         assert body["answer"] is False
-        assert body["tier"] == "short-circuit"
-
-    def test_invalid_mode_400(self, base_url):
-        status, body = post(f"{base_url}/query?mode=turbo", TRUE_SPEC)
-        assert status == 400
-        assert "mode" in body["error"]["message"]
-
-    def test_batch_mode(self, base_url):
+        assert body["tier"] == "exact"
         status, body = post(
             f"{base_url}/batch?mode=approximate",
-            {"queries": [GUESS_SPEC, NO_SPEC]},
+            {"queries": [UNCERTAIN_SPEC, NO_SPEC], "use_cache": False},
         )
         assert status == 200
         tiers = [item["tier"] for item in body["results"]]
-        assert tiers == ["approximate", "short-circuit"]
+        assert tiers == ["exact", "short-circuit"]
 
 
 class TestStatsAndMetrics:
     def test_stats_approx_section(self, base_url):
         post(f"{base_url}/query", NO_SPEC)
-        post(f"{base_url}/query?mode=approximate", GUESS_SPEC)
+        post(f"{base_url}/query", UNCERTAIN_SPEC)
         status, document = get_json(f"{base_url}/stats")
         assert status == 200
         approx = document["approx"]
         assert approx["enabled"] is True
         assert approx["short_circuit_no"] >= 1
-        assert approx["approximate_answers"] == 1
-        assert approx["rechecks"] == 1  # recheck_rate=1.0 in the fixture
-        assert approx["recheck_mismatches"] == 1
-        assert approx["false_rate"] == 1.0
         assert approx["bounds"]["mode"] == "closure"
         assert document["config"]["approx"] is True
 
     def test_metrics_families_strict_parse(self, base_url):
         post(f"{base_url}/query", NO_SPEC)
         post(f"{base_url}/query", TRUE_SPEC)
-        post(f"{base_url}/query?mode=approximate", GUESS_SPEC)
+        post(f"{base_url}/query", UNCERTAIN_SPEC)
         status, text = get_text(f"{base_url}/metrics")
         assert status == 200
         # Strict parse: any malformed line or TYPE header raises.
@@ -138,10 +125,6 @@ class TestStatsAndMetrics:
             "repro_approx_short_circuit_yes_total",
             "repro_approx_exact_fallthrough_total",
             "repro_approx_short_circuit_rate",
-            "repro_approx_answers_total",
-            "repro_approx_rechecks_total",
-            "repro_approx_recheck_mismatches_total",
-            "repro_approx_false_rate",
             "repro_approx_witness_entries",
             "repro_approx_bounds_components",
         ):
@@ -155,13 +138,13 @@ class TestStatsAndMetrics:
     def test_flight_recorder_records_tier(self, base_url):
         post(f"{base_url}/query", NO_SPEC)
         post(f"{base_url}/query", TRUE_SPEC)
-        post(f"{base_url}/query?mode=approximate", GUESS_SPEC)
+        post(f"{base_url}/query", UNCERTAIN_SPEC)
         status, document = get_json(f"{base_url}/debug/slow")
         assert status == 200
         entries = document["tenants"]["default"]["entries"]
         tiers = {entry["tier"] for entry in entries}
-        # slow_ms=0 records everything: all three tiers show up.
-        assert {"short-circuit", "exact", "approximate"} <= tiers
+        # slow_ms=0 records everything: both tiers show up.
+        assert {"short-circuit", "exact"} <= tiers
 
 
 class TestTenantOptions:
@@ -174,8 +157,6 @@ class TestTenantOptions:
                 "name": "dyn",
                 "graph": str(graph_file),
                 "approx": True,
-                "approx_default": True,
-                "approx_recheck": 0.5,
             },
         )
         assert status == 201
@@ -185,18 +166,5 @@ class TestTenantOptions:
              "constraint": "SELECT ?x WHERE { ?x <go> ?y . }"},
         )
         assert status == 200
-        # approx_default=True: no ?mode= needed for the approximate tier.
-        assert body["tier"] in ("approximate", "short-circuit")
-
-    def test_invalid_recheck_option_rejected(self, base_url, tmp_path):
-        graph_file = tmp_path / "bad.tsv"
-        graph_file.write_text("a\tgo\tb\n")
-        status, _ = post(
-            f"{base_url}/tenants",
-            {
-                "name": "bad",
-                "graph": str(graph_file),
-                "approx_recheck": 2.0,
-            },
-        )
-        assert status == 400
+        assert body["answer"] is True
+        assert body["tier"] == "exact"

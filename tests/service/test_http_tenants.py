@@ -248,6 +248,10 @@ class TestTenantAdmin:
             ({"name": "ok"}, "'graph'"),
             ({"name": "ok", "graph": 7}, "'graph'"),
             ({"name": "ok", "graph": "g.tsv", "index": 7}, "'index'"),
+            (
+                {"name": "ok", "graph": "g.tsv", "approx_default": True},
+                "approx_default",
+            ),
         ],
     )
     def test_bad_registration_payloads_400(self, base_url, payload, fragment):
