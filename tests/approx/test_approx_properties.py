@@ -1,12 +1,15 @@
 """50-seed randomized properties of the approx tier.
 
-Two claims, each against an independent oracle:
+Three claims, each against an independent oracle:
 
 * **agreement** — an approx-enabled service answers every query
   bit-identically to the naive oracle *and* to a twin service built
   with ``approx=False`` (short-circuits are sound, never lossy);
 * **witness validity** — every witness path the tier caches verifies
-  under :func:`repro.core.witness.verify_witness` on the current graph.
+  under :func:`repro.core.witness.verify_witness` on the current graph;
+* **honest accounting** — the routing counters in ``/stats`` equal an
+  exact recount of the tier each answer was stamped with, and every
+  short-circuit answer agrees with the naive oracle.
 """
 
 from __future__ import annotations
@@ -101,3 +104,62 @@ class TestWitnessValidity:
         finally:
             service.close()
 
+
+class TestRoutingAccounting:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_counters_match_exact_recount(self, seed):
+        graph = make_graph(seed)
+        service = QueryService(graph, seed=seed)
+        rng = random.Random(seed * 21911 + 3)
+        parsed = {}
+        recount = {"routed": 0, "no": 0, "yes": 0, "exact": 0}
+        try:
+            for source, target, labels, text in random_specs(
+                rng, 3, 9, count=10
+            ):
+                expected = naive_answer(graph, source, target, labels,
+                                        text, parsed)
+                # Twice each: the repeat of an evaluated True is the
+                # witness tier's chance to answer.
+                for _ in range(2):
+                    result, meta = service.query(
+                        source, target, labels, text, use_cache=False
+                    )
+                    tier = meta.get("tier")
+                    if tier is None:
+                        # Trivial answers never reach the router.
+                        assert meta["trivial"], (
+                            f"seed={seed}: untiered non-trivial answer"
+                        )
+                        continue
+                    recount["routed"] += 1
+                    if tier == "exact":
+                        recount["exact"] += 1
+                        continue
+                    assert tier == "short-circuit"
+                    assert result.answer == expected, (
+                        f"seed={seed} {source}->{target} L={labels} "
+                        f"S={text!r}: {result.algorithm} short-circuit "
+                        f"answered {result.answer} != oracle {expected}"
+                    )
+                    if result.answer:
+                        assert result.algorithm == "witness"
+                        recount["yes"] += 1
+                    else:
+                        assert result.algorithm == "bounds"
+                        recount["no"] += 1
+            stats = service.approx.stats()
+            assert stats["routed"] == recount["routed"]
+            assert stats["short_circuit_no"] == recount["no"]
+            assert stats["short_circuit_no"] == (
+                stats["short_circuit_no_mask"]
+                + stats["short_circuit_no_bounds"]
+            )
+            assert stats["short_circuit_yes"] == recount["yes"]
+            assert stats["exact_fallthrough"] == recount["exact"]
+            if recount["routed"]:
+                assert stats["short_circuit_rate"] == pytest.approx(
+                    (recount["no"] + recount["yes"]) / recount["routed"]
+                )
+        finally:
+            service.close()

@@ -110,6 +110,16 @@ class TestStatsAndMetrics:
         assert approx["bounds"]["mode"] == "closure"
         assert document["config"]["approx"] is True
 
+    def test_stats_omit_guess_mode_keys(self, base_url):
+        post(f"{base_url}/query", UNCERTAIN_SPEC)
+        status, document = get_json(f"{base_url}/stats")
+        assert status == 200
+        for key in ("default_mode", "recheck_rate", "approximate_answers",
+                    "rechecks", "recheck_mismatches", "false_rate"):
+            assert key not in document["approx"]
+        assert "approx_default" not in document["config"]
+        assert document["approx"]["exact_fallthrough"] >= 1
+
     def test_metrics_families_strict_parse(self, base_url):
         post(f"{base_url}/query", NO_SPEC)
         post(f"{base_url}/query", TRUE_SPEC)
@@ -129,6 +139,13 @@ class TestStatsAndMetrics:
             "repro_approx_bounds_components",
         ):
             assert name in names, f"missing family {name}"
+        for name in (
+            "repro_approx_answers_total",
+            "repro_approx_rechecks_total",
+            "repro_approx_recheck_mismatches_total",
+            "repro_approx_false_rate",
+        ):
+            assert name not in names, f"deleted family {name} exported"
         routed = sum(
             value for (name, _labels), value in samples.items()
             if name == "repro_approx_routed_total"

@@ -102,6 +102,39 @@ class TestShortCircuits:
         assert meta["cached"] is True
 
 
+class TestUncertainBand:
+    def test_uncertain_band_is_evaluated_exactly(self, service):
+        # (u, w) is label-blind reachable but constraint-false: no
+        # short-circuit applies, so an evaluator answers it...
+        result, meta = service.query("u", "w", ["go"], MARK)
+        assert result.answer is False
+        assert result.algorithm in ("UIS*", "UIS", "INS", "naive")
+        assert meta["tier"] == "exact"
+        assert service.approx.stats()["exact_fallthrough"] == 1
+        # ...and, being exact, the answer is cacheable.
+        again, again_meta = service.query("u", "w", ["go"], MARK)
+        assert again.answer is False
+        assert again_meta["cached"] is True
+
+    def test_mode_keyword_is_gone(self, service):
+        with pytest.raises(TypeError):
+            service.query("u", "w", ["go"], MARK, mode="approximate")
+
+    @pytest.mark.parametrize(
+        "option", [{"approx_default": True}, {"approx_recheck": 1.0}]
+    )
+    def test_guess_mode_options_are_gone(self, option):
+        with pytest.raises(TypeError):
+            QueryService(make_graph(), seed=0, **option)
+
+    def test_stats_carry_no_guess_keys(self, service):
+        service.query("u", "w", ["go"], MARK)
+        stats = service.approx.stats()
+        for key in ("default_mode", "recheck_rate", "approximate_answers",
+                    "rechecks", "recheck_mismatches", "false_rate"):
+            assert key not in stats
+
+
 class TestEpochs:
     def test_bounds_rebuild_on_update(self, service):
         before, _ = service.query("s", "u", ["go"], MARK, use_cache=False)

@@ -252,6 +252,10 @@ class TestTenantAdmin:
                 {"name": "ok", "graph": "g.tsv", "approx_default": True},
                 "approx_default",
             ),
+            (
+                {"name": "ok", "graph": "g.tsv", "approx_recheck": 1.0},
+                "approx_recheck",
+            ),
         ],
     )
     def test_bad_registration_payloads_400(self, base_url, payload, fragment):

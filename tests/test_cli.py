@@ -185,6 +185,16 @@ class TestServe:
         assert args.tenant == ["a=a.tsv", "b=b.tsv:b.json"]
         assert args.graph is None
 
+    @pytest.mark.parametrize(
+        "flags", [["--approx-default"], ["--approx-recheck", "1.0"]]
+    )
+    def test_guess_mode_flags_are_gone(self, flags, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--graph", "g.tsv", *flags])
+        assert flags[0] in capsys.readouterr().err
+
     def test_tenant_spec_parsing(self):
         from repro.cli import _parse_tenant_spec
 
