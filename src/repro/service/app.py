@@ -45,7 +45,7 @@ from collections.abc import Hashable, Iterable
 from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
-from threading import Lock
+from threading import RLock
 from time import perf_counter
 from typing import Any
 
@@ -215,8 +215,9 @@ class QueryService:
             seed,
             bounds=self._build_bounds(frozen),
         )
-        #: Serialises writers only (apply_updates); readers never take it.
-        self._update_lock = Lock()
+        #: Serialises every epoch change; readers never take it.  An
+        #: RLock, so a subclass can extend an inherited change under it.
+        self._update_lock = RLock()
         #: Per-tenant write-ahead log (:class:`repro.wal.TenantWal`) when
         #: the service runs durable (``serve --wal``); attached *after*
         #: recovery so replay never re-appends its own records.
@@ -446,200 +447,172 @@ class QueryService:
         "remove"}``.  Items apply *in order*, so an add-then-remove of
         the same edge nets to absent and the reverse to present.
 
-        Copy-on-write end to end: the current epoch's base graph is
-        deep-copied, the batch is applied to the copy (new vertices and
-        labels intern as needed for additions; duplicate adds and
-        missing removes are counted, not errors — removal of an unknown
-        name never interns anything, so a miss leaves the graph's
-        content fingerprint untouched), the index — when one is loaded —
-        is cloned and repaired per touched region
-        (:meth:`LocalIndex.refresh_regions`, which rebuilds each touched
-        region's ``II/EIT/D`` from the *current* graph and therefore
-        repairs removals and insertions alike; falling back to a full
-        rebuild with the same landmarks when the batch touches more than
-        ``rebuild_region_fraction`` of the regions), the copy is
-        re-frozen, and a fresh :class:`GraphEpoch` replaces
-        ``self._epoch`` in one atomic store.  Readers never block:
-        queries in flight finish on the old epoch, later ones see the
-        new one.  Writers serialise on one update lock.
-
-        When a write-ahead log is attached (:meth:`attach_wal`) the
-        batch is appended — with the new epoch id and content
-        fingerprint — *after* the publish and before the ack returns, so
-        an acknowledged batch is always durable; a crash between publish
-        and append can only lose a batch whose ack the client never saw.
+        Every epoch change takes three steps under the update lock
+        (readers never take it): :meth:`_stage_updates` builds the next
+        :class:`GraphEpoch` and publishes nothing, :meth:`_commit` makes
+        it durable (the WAL append and fsync, after the slice prepares
+        on a sharded service) and :meth:`_publish` is the one store
+        readers observe.  So a reader only ever sees a durable epoch,
+        and a failed commit raises with the previous epoch still served
+        and its id free for the next batch.
 
         Returns a JSON-ready summary (new epoch id, add/duplicate/
-        remove/missing counts, index action).  The whole batch is
-        applied or — on a validation error raised before any copying —
-        none of it; failures after copying cannot corrupt serving state
-        because only the copy was touched.
+        remove/missing counts, index action).
         """
         updates = normalize_edge_updates(edges)
         if not updates:
             raise BadRequestError("update batch must contain at least one edge")
         with self._update_lock:
             started = perf_counter()
-            old = self._epoch
-            # No-op batches skip the copy/repair/publish entirely — and
-            # the epoch bump, which keeps "same epoch" equivalent to
-            # "same content" for the snapshot identity.  A batch is a
-            # no-op when every add is a duplicate and every remove a
-            # miss; those two sets cannot interact in sequence (an add
-            # targets a present edge, a remove an absent one), so the
-            # initial-state check is sound for the whole batch.
-            if all(
-                old.graph.has_edge_named(source, label, target) == (op == "add")
-                for source, label, target, op in updates
-            ):
-                duplicates = sum(1 for *_, op in updates if op == "add")
-                missing = len(updates) - duplicates
-                self.stats.record_update(
-                    edges_added=0,
-                    edges_duplicate=duplicates,
-                    vertices_added=0,
-                    edges_removed=0,
-                    edges_missing=missing,
-                )
-                elapsed = perf_counter() - started
-                self.stats.record_latency("updates", elapsed)
-                return {
-                    "epoch": old.epoch_id,
-                    "edges_added": 0,
-                    "edges_duplicate": duplicates,
-                    "edges_removed": 0,
-                    "edges_missing": missing,
-                    "vertices_added": 0,
-                    "index": "unchanged",
-                    "regions_refreshed": 0,
-                    "seconds": elapsed,
-                }
-            with span("copy"):
-                base = base_graph(old.graph).copy()
-            vertices_before = base.num_vertices
-            added: list[tuple[int, int, int]] = []
-            removed_sources: list[int] = []
-            duplicates = 0
-            missing = 0
-            with span("apply", edges=len(updates)) as apply_span:
-                for source, label, target, op in updates:
-                    if op == "add":
-                        s_id = base.add_vertex(source)
-                        t_id = base.add_vertex(target)
-                        label_id = base.labels.intern(label)
-                        if base.add_edge_ids(s_id, label_id, t_id):
-                            added.append((s_id, label_id, t_id))
-                        else:
-                            duplicates += 1
-                    elif base.remove_edge(source, label, target):
-                        # Name-level removal: a hit implies all three
-                        # names were interned, so vid() cannot miss.
-                        removed_sources.append(base.vid(source))
-                    else:
-                        missing += 1
-                vertices_added = base.num_vertices - vertices_before
-                apply_span.set(
-                    added=len(added),
-                    duplicates=duplicates,
-                    removed=len(removed_sources),
-                    missing=missing,
-                    vertices_added=vertices_added,
-                )
-            with span("freeze"):
-                new_graph = freeze_graph(base) if self._freeze else base
-            new_index: LocalIndex | None = None
-            index_action = "none"
-            regions_refreshed = 0
-            if old.index is not None:
-                with span("index-repair") as repair_span:
-                    new_index = old.index.clone_for(new_graph)
-                    # region_of would IndexError on a just-interned vertex
-                    # id until the region list is extended to the new |V|.
-                    new_index.sync_vertices()
-                    # Both mutation kinds dirty exactly the region of the
-                    # edge's source: II covers in-region paths and EIT
-                    # edges leaving the region, and both are indexed under
-                    # F(source) — so a removed edge's stale entries live
-                    # in region_of(source), same as an inserted edge's
-                    # missing ones.
-                    touched = {new_index.region_of(s_id) for s_id, _, _ in added}
-                    touched.update(
-                        new_index.region_of(s_id) for s_id in removed_sources
-                    )
-                    touched.discard(NO_REGION)
-                    landmarks = new_index.partition.landmarks
-                    if touched and len(touched) > rebuild_region_fraction * len(
-                        landmarks
-                    ):
-                        new_index = build_local_index(
-                            new_graph, landmarks=list(landmarks)
-                        )
-                        index_action = "rebuilt"
-                        regions_refreshed = len(landmarks)
-                    else:
-                        regions_refreshed = new_index.refresh_regions(touched)
-                        index_action = (
-                            "refreshed" if regions_refreshed else "unchanged"
-                        )
-                    repair_span.set(
-                        action=index_action, regions=regions_refreshed
-                    )
-            with span("bounds") as bounds_span:
-                # The bounds index describes one snapshot; rebuild it for
-                # the new graph so router short-circuits stay sound the
-                # instant the epoch publishes.
-                new_bounds = self._build_bounds(new_graph)
-                bounds_span.set(
-                    enabled=new_bounds is not None,
-                    components=(
-                        new_bounds.component_count if new_bounds else 0
-                    ),
-                )
-            with span("publish") as publish_span:
-                new_epoch = GraphEpoch(
-                    old.epoch_id + 1,
-                    new_graph,
-                    new_index,
-                    old.planner.rebind(new_graph, has_index=new_index is not None),
-                    CandidateCache(max_size=self._cache_size),
-                    self.constraints,
-                    self.seed,
-                    bounds=new_bounds,
-                )
-                # The publish: a single attribute store is atomic under
-                # the GIL — this is the only line readers ever observe
-                # changing.
-                self._epoch = new_epoch
-                # Old-epoch result-cache entries are unreachable by new
-                # queries (the epoch id is part of the key); reclaim them
-                # now instead of waiting for LRU pressure.
-                current = new_epoch.epoch_id
-                purged = self.results.purge(
-                    lambda key: isinstance(key, tuple) and key[0] != current
-                )
-                publish_span.set(epoch=current, cache_purged=purged)
-            if self._wal is not None:
-                # Append-after-publish: the record carries the epoch the
-                # batch *produced*, and fsyncs before the ack leaves.
-                with span("wal-append") as wal_span:
-                    self._wal.append(
-                        updates,
-                        epoch=new_epoch.epoch_id,
-                        fingerprint=new_epoch.fingerprint,
-                        graph=new_epoch.graph,
-                    )
-                    wal_span.set(epoch=new_epoch.epoch_id)
+            staged, summary = self._stage_updates(
+                updates, rebuild_region_fraction
+            )
+            if staged is not None:
+                summary.update(self._commit(staged, updates))
+                self._publish(staged)
             elapsed = perf_counter() - started
             self.stats.record_update(
-                edges_added=len(added),
-                edges_duplicate=duplicates,
-                vertices_added=vertices_added,
-                edges_removed=len(removed_sources),
-                edges_missing=missing,
+                edges_added=summary["edges_added"],
+                edges_duplicate=summary["edges_duplicate"],
+                vertices_added=summary["vertices_added"],
+                edges_removed=summary["edges_removed"],
+                edges_missing=summary["edges_missing"],
             )
             self.stats.record_latency("updates", elapsed)
-        return {
-            "epoch": new_epoch.epoch_id,
+        summary["seconds"] = elapsed
+        return summary
+
+    def _stage_updates(
+        self, updates: list, rebuild_region_fraction: float
+    ) -> tuple[GraphEpoch | None, dict]:
+        """Step one: the next epoch for ``updates``, published nowhere.
+
+        Copy-on-write end to end: the current base graph is deep-copied
+        and the batch applied to the copy (new vertices and labels
+        intern as needed; duplicate adds and missing removes are
+        counted, not errors; removing an unknown name never interns
+        anything, so a miss leaves the content fingerprint untouched).
+        The copy is re-frozen, the index — when one is loaded — is
+        cloned and repaired per touched region
+        (:meth:`LocalIndex.refresh_regions` rebuilds each one's
+        ``II/EIT/D`` from the new graph, so removals and insertions
+        alike; past ``rebuild_region_fraction`` of the regions the whole
+        index is rebuilt with the same landmarks) and the bounds are
+        rebuilt.  Returns ``(staged, summary)``; ``staged`` is None for
+        a no-op batch, which keeps its epoch.
+        """
+        old = self._epoch
+        # No-op batches skip the copy/repair/publish entirely — and the
+        # epoch bump, which keeps "same epoch" equivalent to "same
+        # content" for the snapshot identity.  A batch is a no-op when
+        # every add is a duplicate and every remove a miss; those two
+        # sets cannot interact in sequence (an add targets a present
+        # edge, a remove an absent one), so the initial-state check is
+        # sound for the whole batch.
+        if all(
+            old.graph.has_edge_named(source, label, target) == (op == "add")
+            for source, label, target, op in updates
+        ):
+            duplicates = sum(1 for *_, op in updates if op == "add")
+            return None, {
+                "epoch": old.epoch_id,
+                "edges_added": 0,
+                "edges_duplicate": duplicates,
+                "edges_removed": 0,
+                "edges_missing": len(updates) - duplicates,
+                "vertices_added": 0,
+                "index": "unchanged",
+                "regions_refreshed": 0,
+            }
+        with span("copy"):
+            base = base_graph(old.graph).copy()
+        vertices_before = base.num_vertices
+        added: list[tuple[int, int, int]] = []
+        removed_sources: list[int] = []
+        duplicates = 0
+        missing = 0
+        with span("apply", edges=len(updates)) as apply_span:
+            for source, label, target, op in updates:
+                if op == "add":
+                    s_id = base.add_vertex(source)
+                    t_id = base.add_vertex(target)
+                    label_id = base.labels.intern(label)
+                    if base.add_edge_ids(s_id, label_id, t_id):
+                        added.append((s_id, label_id, t_id))
+                    else:
+                        duplicates += 1
+                elif base.remove_edge(source, label, target):
+                    # Name-level removal: a hit implies all three names
+                    # were interned, so vid() cannot miss.
+                    removed_sources.append(base.vid(source))
+                else:
+                    missing += 1
+            vertices_added = base.num_vertices - vertices_before
+            apply_span.set(
+                added=len(added),
+                duplicates=duplicates,
+                removed=len(removed_sources),
+                missing=missing,
+                vertices_added=vertices_added,
+            )
+        with span("freeze"):
+            new_graph = freeze_graph(base) if self._freeze else base
+        new_index: LocalIndex | None = None
+        index_action = "none"
+        regions_refreshed = 0
+        if old.index is not None:
+            with span("index-repair") as repair_span:
+                new_index = old.index.clone_for(new_graph)
+                # region_of would IndexError on a just-interned vertex id
+                # until the region list is extended to the new |V|.
+                new_index.sync_vertices()
+                # Both mutation kinds dirty exactly the region of the
+                # edge's source: II covers in-region paths and EIT edges
+                # leaving the region, and both are indexed under
+                # F(source) — so a removed edge's stale entries live in
+                # region_of(source), same as an inserted edge's missing
+                # ones.
+                touched = {new_index.region_of(s_id) for s_id, _, _ in added}
+                touched.update(
+                    new_index.region_of(s_id) for s_id in removed_sources
+                )
+                touched.discard(NO_REGION)
+                landmarks = new_index.partition.landmarks
+                if touched and len(touched) > rebuild_region_fraction * len(
+                    landmarks
+                ):
+                    new_index = build_local_index(
+                        new_graph, landmarks=list(landmarks)
+                    )
+                    index_action = "rebuilt"
+                    regions_refreshed = len(landmarks)
+                else:
+                    regions_refreshed = new_index.refresh_regions(touched)
+                    index_action = (
+                        "refreshed" if regions_refreshed else "unchanged"
+                    )
+                repair_span.set(action=index_action, regions=regions_refreshed)
+        with span("bounds") as bounds_span:
+            # The bounds index describes one snapshot; rebuild it for the
+            # new graph so router short-circuits stay sound the instant
+            # the epoch publishes.
+            new_bounds = self._build_bounds(new_graph)
+            bounds_span.set(
+                enabled=new_bounds is not None,
+                components=new_bounds.component_count if new_bounds else 0,
+            )
+        staged = GraphEpoch(
+            old.epoch_id + 1,
+            new_graph,
+            new_index,
+            old.planner.rebind(new_graph, has_index=new_index is not None),
+            CandidateCache(max_size=self._cache_size),
+            self.constraints,
+            self.seed,
+            bounds=new_bounds,
+        )
+        return staged, {
+            "epoch": staged.epoch_id,
             "edges_added": len(added),
             "edges_duplicate": duplicates,
             "edges_removed": len(removed_sources),
@@ -647,8 +620,42 @@ class QueryService:
             "vertices_added": vertices_added,
             "index": index_action,
             "regions_refreshed": regions_refreshed,
-            "seconds": elapsed,
         }
+
+    def _commit(self, staged: GraphEpoch, updates: list) -> dict:
+        """Step two: make ``staged`` durable before anyone can see it.
+
+        With a write-ahead log attached the batch is appended, stamped
+        with the staged epoch id and fingerprint, and fsynced; if that
+        raises, nothing was published.  Returns extra summary keys for
+        the ack (the sharded service reports its slice push here).
+        """
+        if self._wal is not None:
+            with span("wal-append") as wal_span:
+                self._wal.append(
+                    updates,
+                    epoch=staged.epoch_id,
+                    fingerprint=staged.fingerprint,
+                    graph=staged.graph,
+                )
+                wal_span.set(epoch=staged.epoch_id)
+        return {}
+
+    def _publish(self, epoch: GraphEpoch) -> None:
+        """Step three: make ``epoch`` the one readers see.
+
+        The attribute store is atomic under the GIL and is the only line
+        readers ever observe changing.  Old-epoch result-cache entries
+        are unreachable by new queries (the epoch id is part of the
+        key), so they are reclaimed now instead of by LRU pressure.
+        """
+        with span("publish") as publish_span:
+            self._epoch = epoch
+            current = epoch.epoch_id
+            purged = self.results.purge(
+                lambda key: isinstance(key, tuple) and key[0] != current
+            )
+            publish_span.set(epoch=current, cache_purged=purged)
 
     # ------------------------------------------------------------------
     # durability + replication hooks (repro.wal)
@@ -657,8 +664,8 @@ class QueryService:
     def attach_wal(self, wal: Any) -> None:
         """Attach a per-tenant write-ahead log to this service.
 
-        Every subsequent :meth:`apply_updates` that publishes a new
-        epoch appends its batch to ``wal`` before acknowledging.  Called
+        Every subsequent :meth:`apply_updates` that changes the epoch
+        appends its batch to ``wal`` — fsynced — before publishing.  Called
         by recovery (:func:`repro.wal.recover_service`) *after* replay,
         so replayed records are never re-appended.
         """
@@ -692,20 +699,18 @@ class QueryService:
                 )
             if epoch_id == old.epoch_id:
                 return
-            new_epoch = GraphEpoch(
-                epoch_id,
-                old.graph,
-                old.index,
-                old.planner,
-                old.candidates,
-                self.constraints,
-                self.seed,
-                # Same graph, same bounds: renumbering never re-derives.
-                bounds=old.bounds,
-            )
-            self._epoch = new_epoch
-            self.results.purge(
-                lambda key: isinstance(key, tuple) and key[0] != epoch_id
+            self._publish(
+                GraphEpoch(
+                    epoch_id,
+                    old.graph,
+                    old.index,
+                    old.planner,
+                    old.candidates,
+                    self.constraints,
+                    self.seed,
+                    # Same graph, same bounds: renumbering never re-derives.
+                    bounds=old.bounds,
+                )
             )
 
     def replace_graph(
@@ -745,19 +750,17 @@ class QueryService:
                 new_index = build_local_index(
                     frozen, landmarks=list(old.index.partition.landmarks)
                 )
-            new_epoch = GraphEpoch(
-                epoch_id,
-                frozen,
-                new_index,
-                old.planner.rebind(frozen, has_index=new_index is not None),
-                CandidateCache(max_size=self._cache_size),
-                self.constraints,
-                self.seed,
-                bounds=self._build_bounds(frozen),
-            )
-            self._epoch = new_epoch
-            self.results.purge(
-                lambda key: isinstance(key, tuple) and key[0] != epoch_id
+            self._publish(
+                GraphEpoch(
+                    epoch_id,
+                    frozen,
+                    new_index,
+                    old.planner.rebind(frozen, has_index=new_index is not None),
+                    CandidateCache(max_size=self._cache_size),
+                    self.constraints,
+                    self.seed,
+                    bounds=self._build_bounds(frozen),
+                )
             )
 
     # ------------------------------------------------------------------

@@ -101,8 +101,8 @@ class GraphEpoch:
         #: Content digest of the graph this epoch serves; part of the
         #: save/load snapshot identity.
         self.fingerprint = graph.content_fingerprint()
-        #: Wall-clock publication instant — the ``repro_epoch_age_seconds``
-        #: gauge says how stale the serving snapshot is.
+        #: Wall-clock staging instant (it publishes once committed) — the
+        #: ``repro_epoch_age_seconds`` gauge says how stale it is.
         self.created_at = time.time()
         self._sessions: dict[str, LSCRSession] = {}
         self._session_lock = Lock()

@@ -72,15 +72,17 @@ ROUND_GRACE_SECONDS = 0.05
 class _Topology:
     """The coordinator facts that must swap together on a slice publish.
 
-    Reading graph, plan and slice epoch through one immutable bundle is
-    what makes a mid-query :meth:`ShardCoordinator.publish` safe: a
-    query evaluates wholly against the topology it grabbed at entry —
-    never the old plan with the new epoch or vice versa.
+    Reading graph, plan, slice epoch and ``V(S, G)`` cache through one
+    immutable bundle is what makes a mid-query
+    :meth:`ShardCoordinator.publish` safe: a query evaluates wholly
+    against the topology it grabbed at entry — never the old plan with
+    the new epoch, nor the new graph with the old graph's candidates.
     """
 
     graph: KnowledgeGraph
     plan: ShardPlan
     slice_epoch: int
+    candidates: CandidateCache | None
 
 
 class _EpochSkew(Exception):
@@ -132,9 +134,8 @@ class ShardCoordinator:
             raise ValueError(
                 f"plan wants {plan.num_shards} workers, got {len(workers)}"
             )
-        self._topology = _Topology(graph, plan, slice_epoch)
+        self._topology = _Topology(graph, plan, slice_epoch, candidate_cache)
         self.workers = workers
-        self.candidates = candidate_cache
         self.local_fast_path = local_fast_path
         #: Retries for idempotent expand calls (injectable for tests).
         self.retry = retry_policy if retry_policy is not None else RetryPolicy()
@@ -198,7 +199,11 @@ class ShardCoordinator:
         return self._topology.slice_epoch
 
     def publish(
-        self, graph: KnowledgeGraph, plan: ShardPlan, slice_epoch: int
+        self,
+        graph: KnowledgeGraph,
+        plan: ShardPlan,
+        slice_epoch: int,
+        candidate_cache: CandidateCache | None,
     ) -> None:
         """Swap in a new topology (after an update push or a rebalance).
 
@@ -212,7 +217,7 @@ class ShardCoordinator:
                 f"cannot publish a {plan.num_shards}-shard plan over "
                 f"{len(self.workers)} workers"
             )
-        self._topology = _Topology(graph, plan, slice_epoch)
+        self._topology = _Topology(graph, plan, slice_epoch, candidate_cache)
 
     def __repr__(self) -> str:
         topology = self._topology
@@ -316,8 +321,8 @@ class ShardCoordinator:
             # not decide — computing it first would charge every
             # co-located hit for a whole-graph SPARQL evaluation.
             vsg_started = perf_counter()
-            if self.candidates is not None:
-                candidates = self.candidates.get(query.constraint, graph)
+            if topology.candidates is not None:
+                candidates = topology.candidates.get(query.constraint, graph)
             else:
                 with span("candidate-cache") as vsg_span:
                     candidates = tuple(

@@ -32,21 +32,23 @@ topologies serve the slices:
   breakers and re-push slices to workers that restarted from stale
   files.
 
-Live updates propagate **per slice**: :meth:`apply_updates` runs the
-inherited copy-on-write epoch swap on the coordinator, re-cuts the
-slices of every shard the batch touched, and pushes them over the
-two-phase ``prepare``/``publish`` wire before acknowledging — bumping a
-coordinated *slice epoch* that every expand response echoes, so a
-scatter that straddles the swap detects the skew and re-runs against
-the new topology.  The per-tenant WAL composes: the coordinator appends
-the batch only after every slice acknowledged its prepare, making the
-log the slice-epoch carrier replay re-cuts from.
+Live updates propagate **per slice**: the sharded service overrides
+only the commit step of the inherited stage → commit → publish path
+(:meth:`~repro.service.app.QueryService.apply_updates`).  It re-cuts the
+touched shards' slices from the *staged* epoch, prepares every worker
+over the two-phase ``prepare``/``publish`` wire, then appends the WAL
+record; a refused prepare or failed append aborts every prepare with
+nothing published, so there is nothing to roll back.  Only then does
+the new topology go live, bumping a coordinated *slice epoch* every
+expand echoes, so a scatter straddling the swap detects the skew and
+re-runs against the new topology.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from dataclasses import dataclass
 from typing import Any
 
 from repro.exceptions import (
@@ -61,7 +63,7 @@ from repro.index.landmarks import (
 )
 from repro.index.local_index import LocalIndex
 from repro.service.app import QueryService
-from repro.service.epoch import GraphEpoch, normalize_edge_updates
+from repro.service.epoch import GraphEpoch
 from repro.service.planner import QueryPlan
 from repro.service.stats import merge_snapshots
 from repro.core.result import QueryResult
@@ -85,6 +87,17 @@ __all__ = ["ShardedQueryService", "DEFAULT_PROBE_INTERVAL"]
 
 #: Seconds between health probes of remote workers.
 DEFAULT_PROBE_INTERVAL = 5.0
+
+
+@dataclass(frozen=True)
+class _SlicePush:
+    """A slice push every worker has prepared but none serves yet."""
+
+    txn: str
+    epoch: GraphEpoch
+    plan: ShardPlan
+    plan_hash: str
+    slice_epoch: int
 
 
 class ShardedQueryService(QueryService):
@@ -123,8 +136,6 @@ class ShardedQueryService(QueryService):
         self._partition = partition
         self._correlations = correlations
         self.shard_plan = build_shard_plan(frozen, partition, shards, correlations)
-        #: Serialises every slice push (updates, rebalances, resyncs).
-        self._shard_lock = threading.RLock()
         self._slice_epoch = self.epoch.epoch_id
         self._health_lock = threading.Lock()
         self._worker_health: dict[int, dict] = {}
@@ -288,35 +299,17 @@ class ShardedQueryService(QueryService):
 
     def _resync_worker(self, shard_id: int, worker) -> None:
         """Push the coordinator's current slice to one drifted worker."""
-        with self._shard_lock:
-            epoch = self.epoch
+        with self._update_lock:
             plan = self.shard_plan
-            graph_slice = GraphSlice(epoch.graph, plan, shard_id)
-            plan_hash = plan_fingerprint(plan)
-            txn = f"resync-{self._slice_epoch}-{shard_id}"
-            if isinstance(worker, ShardWorker):
-                worker.prepare_slice(
-                    txn,
-                    graph_slice,
-                    epoch=self._slice_epoch,
-                    fingerprint=epoch.fingerprint,
-                    plan_hash=plan_hash,
-                    plan=plan,
-                )
-            else:
-                worker.prepare_update(
-                    txn,
-                    epoch=self._slice_epoch,
-                    fingerprint=epoch.fingerprint,
-                    plan_hash=plan_hash,
-                    slice_document=slice_document(
-                        graph_slice,
-                        plan,
-                        epoch=self._slice_epoch,
-                        fingerprint=epoch.fingerprint,
-                    ),
-                )
-            worker.publish_update(txn)
+            push = _SlicePush(
+                txn=f"resync-{self._slice_epoch}-{shard_id}",
+                epoch=self.epoch,
+                plan=plan,
+                plan_hash=plan_fingerprint(plan),
+                slice_epoch=self._slice_epoch,
+            )
+            self._prepare_worker(shard_id, worker, push, ship=True)
+            worker.publish_update(push.txn)
             with self._health_lock:
                 entry = self._worker_health.setdefault(shard_id, {})
                 entry["resyncs"] = entry.get("resyncs", 0) + 1
@@ -412,109 +405,124 @@ class ShardedQueryService(QueryService):
 
     def _push_slices(
         self,
-        slice_epoch: int,
+        staged: GraphEpoch,
         *,
         plan: ShardPlan | None = None,
         touched: set[int] | None = None,
         reason: str,
-    ) -> tuple[ShardPlan, list[tuple[int, str]]]:
-        """Re-cut and push slices, two-phase, then publish the topology.
+    ) -> _SlicePush:
+        """Phase one of a slice push: prepare every worker for ``staged``.
 
-        Phase one *prepares* every worker — touched shards receive their
-        re-cut slice (all the rebuild cost lands here, off the serving
-        path), untouched shards a bare epoch bump — and any failure
-        aborts all staged state and re-raises before anything served
-        changes.  Past that point the new topology publishes on the
-        coordinator and every worker; publish stragglers are returned
-        (not raised) because the swap is already committed — their
-        expands echo a stale epoch, the skew check refuses structurally,
-        and the health sweep re-pushes until they converge.
+        Touched shards receive their re-cut slice of the staged graph
+        (all the rebuild cost lands here, off the serving path),
+        untouched shards a bare epoch bump, at the next slice epoch —
+        never below the staged epoch id.  Nothing served changes; any
+        failure aborts every staged prepare and raises a structured 503
+        naming the epoch still served.  The returned push goes live
+        through :meth:`_publish_slices`.
         """
-        epoch = self.epoch
-        graph = epoch.graph
         if plan is None:
-            plan = self._extended_plan(graph)
-        plan_hash = plan_fingerprint(plan)
-        txn = f"{reason}-{slice_epoch}"
-        prepared: list = []
+            plan = self._extended_plan(staged.graph)
+        slice_epoch = max(staged.epoch_id, self._slice_epoch + 1)
+        push = _SlicePush(
+            txn=f"{reason}-{slice_epoch}",
+            epoch=staged,
+            plan=plan,
+            plan_hash=plan_fingerprint(plan),
+            slice_epoch=slice_epoch,
+        )
         try:
             for shard_id, worker in enumerate(self.workers):
                 ship = touched is None or shard_id in touched
-                if isinstance(worker, ShardWorker):
-                    if ship:
-                        worker.prepare_slice(
-                            txn,
-                            GraphSlice(graph, plan, shard_id),
-                            epoch=slice_epoch,
-                            fingerprint=epoch.fingerprint,
-                            plan_hash=plan_hash,
-                            plan=plan,
-                        )
-                    else:
-                        worker.prepare_update(
-                            txn,
-                            epoch=slice_epoch,
-                            fingerprint=epoch.fingerprint,
-                            plan_hash=plan_hash,
-                        )
-                else:
-                    document = None
-                    if ship:
-                        document = slice_document(
-                            GraphSlice(graph, plan, shard_id),
-                            plan,
-                            epoch=slice_epoch,
-                            fingerprint=epoch.fingerprint,
-                        )
-                    worker.prepare_update(
-                        txn,
-                        epoch=slice_epoch,
-                        fingerprint=epoch.fingerprint,
-                        plan_hash=plan_hash,
-                        slice_document=document,
-                    )
-                prepared.append(worker)
-        except Exception:
-            for worker in prepared:
-                try:
-                    worker.abort_update(txn)
-                except Exception:
-                    pass
-            raise
-        # Point of no return: every worker holds the staged state.
-        self.shard_plan = plan
-        self._slice_epoch = slice_epoch
-        self.coordinator.publish(graph, plan, slice_epoch)
-        failures: list[tuple[int, str]] = []
+                self._prepare_worker(shard_id, worker, push, ship=ship)
+        except Exception as error:
+            self._abort_slices(push)
+            raise ShardUnavailableError(
+                getattr(error, "shard", -1),
+                f"slice push could not prepare: {error}",
+                detail={"epoch": self.epoch.epoch_id},
+            ) from error
+        return push
+
+    def _prepare_worker(
+        self, shard_id: int, worker, push: _SlicePush, *, ship: bool
+    ) -> None:
+        """Stage ``push`` on one worker: its re-cut slice (``ship``) —
+        the object in-process, a slice document over the wire — or a
+        bare epoch bump."""
+        fingerprint = push.epoch.fingerprint
+        if not ship:
+            worker.prepare_update(
+                push.txn,
+                epoch=push.slice_epoch,
+                fingerprint=fingerprint,
+                plan_hash=push.plan_hash,
+            )
+            return
+        graph_slice = GraphSlice(push.epoch.graph, push.plan, shard_id)
+        if isinstance(worker, ShardWorker):
+            worker.prepare_slice(
+                push.txn,
+                graph_slice,
+                epoch=push.slice_epoch,
+                fingerprint=fingerprint,
+                plan_hash=push.plan_hash,
+                plan=push.plan,
+            )
+            return
+        worker.prepare_update(
+            push.txn,
+            epoch=push.slice_epoch,
+            fingerprint=fingerprint,
+            plan_hash=push.plan_hash,
+            slice_document=slice_document(
+                graph_slice,
+                push.plan,
+                epoch=push.slice_epoch,
+                fingerprint=fingerprint,
+            ),
+        )
+
+    def _abort_slices(self, push: _SlicePush) -> None:
+        """Drop a prepared push on every worker (aborts are idempotent)."""
+        for worker in self.workers:
+            try:
+                worker.abort_update(push.txn)
+            except Exception:
+                pass
+
+    def _publish_slices(self, push: _SlicePush) -> list[dict]:
+        """Phase two: swap a prepared push in on the coordinator and fleet.
+
+        Publish stragglers are returned as ``shards_unpublished`` entries,
+        not raised, because the push is already committed — their
+        expands echo a stale epoch, the skew check refuses structurally,
+        and the health sweep re-pushes until they converge.
+        """
+        self.shard_plan = push.plan
+        self._slice_epoch = push.slice_epoch
+        self.coordinator.publish(
+            push.epoch.graph,
+            push.plan,
+            push.slice_epoch,
+            push.epoch.candidates,
+        )
+        failures: list[dict] = []
         for shard_id, worker in enumerate(self.workers):
             try:
-                worker.publish_update(txn)
+                worker.publish_update(push.txn)
             except Exception as error:
                 self._note_unhealthy(shard_id, error)
-                failures.append(
-                    (shard_id, f"{type(error).__name__}: {error}")
-                )
+                message = f"{type(error).__name__}: {error}"
+                failures.append({"shard": shard_id, "error": message})
             else:
                 if not isinstance(worker, ShardWorker):
                     self._note_health(
-                        shard_id, epoch=slice_epoch, plan_hash=plan_hash
+                        shard_id,
+                        epoch=push.slice_epoch,
+                        plan_hash=push.plan_hash,
                     )
-        # Queries that raced the swap may have cached answers computed
-        # on the previous topology under the new epoch's namespace;
-        # drop them so the cache only ever re-serves post-swap answers.
-        self.results.purge(
-            lambda key: isinstance(key, tuple) and key[0] == epoch.epoch_id
-        )
-        return plan, failures
-
-    def _rollback_epoch(self, old: GraphEpoch, failed: GraphEpoch) -> None:
-        """Un-publish a base epoch whose slice push could not prepare."""
-        with self._update_lock:
-            if self._epoch is failed:
-                self._epoch = old
-        self.results.purge(
-            lambda key: isinstance(key, tuple) and key[0] == failed.epoch_id
-        )
+        return failures
 
     def _touched_shards(
         self, updates: list, graph: KnowledgeGraph, plan: ShardPlan
@@ -534,67 +542,33 @@ class ShardedQueryService(QueryService):
                 touched.add(plan.shard_of[graph.vid(source)])
         return touched
 
-    def apply_updates(self, edges: Any, **kwargs: Any) -> dict:
-        """Epoch-swap the coordinator, then propagate the swap per slice.
+    def _commit(self, staged: GraphEpoch, updates: list) -> dict:
+        """Prepare every slice at the staged epoch, log it, then swap.
 
-        The inherited copy-on-write pipeline does the graph/index work
-        and publishes the coordinator's new :class:`GraphEpoch`; this
-        override then re-cuts the slices of every shard owning an
-        updated edge's source and drives the two-phase push.  The WAL —
-        when attached — is bypassed during the base call and appended
-        here instead, *after* every slice acknowledged its prepare: an
-        acknowledged batch is durable and fleet-visible, and replay
-        through this same method re-cuts and re-pushes slices on
-        recovery.  If any worker refuses its prepare, the base epoch is
-        rolled back (nothing was served from it) and the batch fails
-        with a structured 503 — the deployment stays consistent at the
-        previous epoch.
+        Shards owning an updated edge's source get their slice re-cut
+        from the staged graph, the rest a bare epoch bump; then the
+        inherited commit appends the WAL record.  A refused prepare (a
+        structured 503) or a failed append aborts every staged prepare
+        with nothing published.  Only then does the new topology go live
+        on the coordinator and the workers, right before the inherited
+        publish stores the epoch.
         """
-        updates = normalize_edge_updates(edges)
-        with self._shard_lock:
-            old_epoch = self.epoch
-            wal = self._wal
-            self._wal = None
-            try:
-                summary = super().apply_updates(updates, **kwargs)
-            finally:
-                self._wal = wal
-            new_epoch = self.epoch
-            if new_epoch.epoch_id == old_epoch.epoch_id:
-                # No-op batch: nothing published, nothing to push.
-                return summary
-            slice_epoch = max(new_epoch.epoch_id, self._slice_epoch + 1)
-            plan = self._extended_plan(new_epoch.graph)
-            touched = self._touched_shards(updates, new_epoch.graph, plan)
-            try:
-                plan, failures = self._push_slices(
-                    slice_epoch,
-                    plan=plan,
-                    touched=touched,
-                    reason="update",
-                )
-            except Exception as error:
-                self._rollback_epoch(old_epoch, new_epoch)
-                raise ShardUnavailableError(
-                    getattr(error, "shard", -1),
-                    f"slice push could not prepare: {error}",
-                    detail={"epoch": old_epoch.epoch_id},
-                ) from error
-            if wal is not None:
-                wal.append(
-                    updates,
-                    epoch=new_epoch.epoch_id,
-                    fingerprint=new_epoch.fingerprint,
-                    graph=new_epoch.graph,
-                )
-            summary["slice_epoch"] = slice_epoch
-            summary["shards_updated"] = sorted(touched)
-            if failures:
-                summary["shards_unpublished"] = [
-                    {"shard": shard_id, "error": message}
-                    for shard_id, message in failures
-                ]
-            return summary
+        plan = self._extended_plan(staged.graph)
+        touched = self._touched_shards(updates, staged.graph, plan)
+        push = self._push_slices(
+            staged, plan=plan, touched=touched, reason="update"
+        )
+        try:
+            summary = super()._commit(staged, updates)
+        except BaseException:
+            self._abort_slices(push)
+            raise
+        summary["slice_epoch"] = push.slice_epoch
+        summary["shards_updated"] = sorted(touched)
+        failures = self._publish_slices(push)
+        if failures:
+            summary["shards_unpublished"] = failures
+        return summary
 
     def reset_epoch(
         self, epoch_id: int, *, expected_fingerprint: str | None = None
@@ -603,17 +577,17 @@ class ShardedQueryService(QueryService):
 
         WAL recovery's counter-restore: the graph content is already
         correct, but workers must echo the logged epoch or every
-        post-recovery scatter would look like a mid-swap skew.
+        post-recovery scatter would look like a mid-swap skew.  The
+        renumbered id names the content the log records for it, so this
+        may publish before it pushes.
         """
-        with self._shard_lock:
+        with self._update_lock:
             before = self.epoch.epoch_id
             super().reset_epoch(
                 epoch_id, expected_fingerprint=expected_fingerprint
             )
-            if self.epoch.epoch_id == before:
-                return
-            slice_epoch = max(epoch_id, self._slice_epoch + 1)
-            self._push_slices(slice_epoch, reason="reset")
+            if self.epoch.epoch_id != before:
+                self._publish_slices(self._push_slices(self.epoch, reason="reset"))
 
     # ------------------------------------------------------------------
     # D-guided rebalancing
@@ -628,7 +602,7 @@ class ShardedQueryService(QueryService):
         actually moves a region — pushes the re-cut slices through the
         same two-phase wire an update uses, at a bumped slice epoch.
         """
-        with self._shard_lock:
+        with self._update_lock:
             crossings: dict[int, dict[int, int]] = {}
             for shard_id, worker in enumerate(self.workers):
                 if isinstance(worker, ShardWorker):
@@ -670,21 +644,18 @@ class ShardedQueryService(QueryService):
                 for landmark, shard in proposal.region_shard.items()
                 if self.shard_plan.region_shard.get(landmark) != shard
             )
-            slice_epoch = self._slice_epoch + 1
-            plan, failures = self._push_slices(
-                slice_epoch, plan=proposal, reason="rebalance"
+            push = self._push_slices(
+                self.epoch, plan=proposal, reason="rebalance"
             )
+            failures = self._publish_slices(push)
             document = {
                 "rebalanced": True,
-                "slice_epoch": slice_epoch,
+                "slice_epoch": push.slice_epoch,
                 "regions_moved": moved,
-                "plan": plan.describe(),
+                "plan": proposal.describe(),
             }
             if failures:
-                document["shards_unpublished"] = [
-                    {"shard": shard_id, "error": message}
-                    for shard_id, message in failures
-                ]
+                document["shards_unpublished"] = failures
             return document
 
     # ------------------------------------------------------------------

@@ -86,9 +86,10 @@ def recover_service(
     service so subsequent updates append — a leader.  Followers recover
     with ``attach=False`` and tail instead.
 
-    The ``replay`` dict reports ``applied`` / ``skipped`` record counts,
-    the final ``epoch`` and whether a ``truncated_tail`` (torn final
-    append) was tolerated.
+    Records are fsynced before their epoch publishes, so the tip is the
+    newest epoch any reader or client saw.  The ``replay`` dict reports
+    ``applied`` / ``skipped`` record counts, the final ``epoch`` and
+    whether a ``truncated_tail`` (torn final append) was tolerated.
 
     ``service_cls`` chooses the topology the log replays into —
     :class:`~repro.shard.service.ShardedQueryService` makes recovery

@@ -26,13 +26,14 @@ therefore identical fingerprints.
 
 Ordering contract (see
 :meth:`~repro.service.app.QueryService.apply_updates`): a record is
-appended — and fsynced — *after* its epoch is published and *before*
-the client's ack.  An acknowledged batch is always durable; a crash
-between publish and append can only lose a batch whose ack never left,
-giving at-most-once semantics with no torn state.  No-op batches don't
-bump the epoch and are never appended, so consecutive records always
-step the epoch by exactly one — which is what lets replay detect a
-missing segment as a gap.
+appended — and fsynced — *before* its epoch is published, so every
+epoch a reader can be answered from is already durable, and an
+acknowledged batch always is.  A crash before the append loses only a
+batch no reader saw and no client was acked for; a failed append
+publishes nothing and leaves the epoch id free for the next batch.
+No-op batches don't bump the epoch and are never appended, so
+consecutive records always step the epoch by exactly one — which is
+what lets replay detect a missing segment as a gap.
 
 Compaction bounds restart cost: every ``compact_every`` appended records
 the current graph is written to ``snapshot.json`` (atomically and
@@ -53,6 +54,7 @@ raises :class:`~repro.exceptions.WalCorruptionError`.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import time
 from dataclasses import dataclass
@@ -76,6 +78,8 @@ __all__ = [
 #: frequent enough to bound replay, rare enough that their O(|V| + |E|)
 #: cost amortises to ~nothing per batch.
 DEFAULT_COMPACT_EVERY = 256
+
+_LOG = logging.getLogger(__name__)
 
 #: On-disk format of both segments' records and ``snapshot.json``.
 _WAL_VERSION = 1
@@ -355,12 +359,13 @@ class TenantWal:
         fingerprint: str,
         graph: KnowledgeGraph,
     ) -> WalRecord:
-        """Durably append one acknowledged batch; maybe compact.
+        """Durably append one batch before its epoch publishes; maybe compact.
 
         Called by :meth:`QueryService.apply_updates` under its update
-        lock, after the new epoch is published.  ``graph`` is the
-        post-batch graph — the compaction snapshot source if this append
-        crosses the ``compact_every`` threshold.
+        lock with the *staged* epoch, which publishes only if this
+        returns — so a failed write or fsync cuts the record back out
+        before re-raising, and a failed compaction never raises.
+        ``graph`` is the post-batch graph, the compaction snapshot source.
         """
         if not self._repaired:
             self._repair_tail()
@@ -387,13 +392,21 @@ class TenantWal:
                 f"{_SEGMENT_PREFIX}{epoch:012d}{_SEGMENT_SUFFIX}"
             )
             fresh = not path.exists()
-            self._handle = open(path, "ab")
+            # Unbuffered: one write(2) per record, nothing held back.
+            self._handle = open(path, "ab", buffering=0)
             if fresh:
                 fsync_directory(self.directory)
-        self._handle.write(line.encode("utf-8") + b"\n")
-        self._handle.flush()
-        if self.fsync:
+        data = line.encode("utf-8") + b"\n"
+        length = self._handle.tell()
+        try:
+            if self._handle.write(data) != len(data):
+                raise OSError(f"short write appending epoch {epoch}")
+            if self.fsync:
+                os.fsync(self._handle.fileno())
+        except BaseException:
+            os.ftruncate(self._handle.fileno(), length)
             os.fsync(self._handle.fileno())
+            raise
         self._next_seq += 1
         self._records += 1
         self._since_snapshot += 1
@@ -401,7 +414,12 @@ class TenantWal:
         self.record_epochs.add(epoch)
         self.last_epoch = max(self.last_epoch, epoch)
         if self._since_snapshot >= self.compact_every:
-            self.compact(graph, epoch=epoch, fingerprint=fingerprint)
+            # Both compaction steps are crash-safe, so a failed one leaves
+            # a valid log, and the next append retries it.
+            try:
+                self.compact(graph, epoch=epoch, fingerprint=fingerprint)
+            except OSError as error:
+                _LOG.warning("WAL compaction at epoch %d: %s", epoch, error)
         return record
 
     def compact(

@@ -12,45 +12,12 @@ entries carrying the routing tier.
 from __future__ import annotations
 
 import json
-import os
-import re
-import subprocess
-import sys
 import urllib.request
-from pathlib import Path
 
 from repro.graph.io import load_tsv
 from repro.obs.prometheus import parse_prometheus_text
 from repro.service.app import QueryService
-
-REPO_ROOT = Path(__file__).resolve().parent.parent.parent
-READY = re.compile(r"listening on (http://\S+)")
-
-
-def run_cli(*args, env):
-    subprocess.run(
-        [sys.executable, "-m", "repro", *args], check=True, env=env,
-        stdout=subprocess.DEVNULL,
-    )
-
-
-def boot_server(args, env):
-    """Start one server process; returns ``(proc, url)`` once it's ready."""
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", *args, "--port", "0"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-    )
-    for line in proc.stdout:
-        match = READY.search(line)
-        if match:
-            return proc, match.group(1)
-    proc.wait(timeout=5)
-    raise AssertionError(
-        f"server exited (rc={proc.returncode}) before printing its ready line"
-    )
+from tests.e2e.harness import boot_server, cli_env, run_cli
 
 
 def specs_for(vertices, labels, count, salt):
@@ -68,7 +35,7 @@ def specs_for(vertices, labels, count, salt):
 
 
 def test_agreement_metrics_and_slow_log_through_updates(tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    env = cli_env()
     main_tsv = tmp_path / "main.tsv"
     dyn_tsv = tmp_path / "dyn.tsv"
     run_cli("generate", "--random", "60", "2", "4", "--seed", "0",

@@ -379,6 +379,29 @@ class TestShardedUpdates:
         finally:
             service.close()
 
+    def test_scatter_uses_the_new_epochs_constraint_candidates(self):
+        # V(S, G) is memoised per constraint text: after an update gives
+        # S a new satisfying vertex, the coordinator must stop using the
+        # previous graph's candidate set.
+        constraint = "SELECT ?x WHERE { ?x <q> ?y . }"
+        graph = graph_from_edges(
+            [("a", "p", "b"), ("b", "p", "c"), ("c", "p", "d"),
+             ("x", "q", "y")],
+            name="sharded",
+        )
+        service = ShardedQueryService(graph, seed=0, shards=2, approx=False)
+        try:
+            before, _ = service.query("a", "d", ["p"], constraint)
+            assert before.answer is False
+            service.apply_updates([("c", "q", "z")])
+            after, meta = service.query(
+                "a", "d", ["p"], constraint, use_cache=False
+            )
+            assert meta["epoch"] == 1
+            assert after.answer is True
+        finally:
+            service.close()
+
     def test_no_op_batch_does_not_bump_slice_epoch(self):
         graph = graph_from_edges(
             [(f"n{i}", "l", f"n{i + 1}") for i in range(12)], name="sharded"

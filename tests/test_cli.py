@@ -217,7 +217,7 @@ class TestServe:
 
 class TestServeWalFlags:
     """Parser + validation for --wal / --follow; real WAL serving is
-    covered by tests/wal and the wal-recovery CI job."""
+    covered by tests/wal and tests/e2e/test_wal_recovery.py."""
 
     def test_parser_accepts_wal_flags(self):
         from repro.cli import build_parser
